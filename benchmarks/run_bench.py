@@ -13,8 +13,9 @@ Measured sections
   compute/comm sweep repeated 100x) with the step cache on and off; the
   ratio is the PR 1 memoization speedup.
 * ``sim_kernel``  -- the batched numpy step kernel vs. the per-step event
-  loop (memoization off) on jacobi8x8 x100, a 64-cluster torus, and a
-  1k-task synthetic stencil; the ratio is the PR 6 headline.
+  loop (memoization off; each engine driven through its private runner)
+  on jacobi8x8 x100, a 64-cluster torus, and a 1k-task synthetic
+  stencil; the ratio is the vector-simulator headline.
 * ``e2e``         -- map_computation + simulate wall-clock on the paper's
   benchmark workloads (nbody63, jacobi8x8, fft64).
 * ``contraction`` -- MWM-Contract on the n-body 63-task graph and a scaled
@@ -25,6 +26,8 @@ Measured sections
   table kernel vs. the label-based reference.
 * ``metrics``     -- METRICS analyze with the bincount kernel vs. the
   per-hop dict reference (simulation excluded via ``sim=``).
+
+  The three references are the equivalence oracles in ``tests/oracles``.
 * ``portfolio``   -- ``map_many`` over 8 (graph, topology) pairs: 4-worker
   process pool vs. sequential, with winner-determinism checked.
 * ``cache``       -- cold vs. warm ``run_pipeline`` on jacobi8x8 against
@@ -75,6 +78,7 @@ import argparse
 import json
 import os
 import platform
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -98,7 +102,16 @@ from repro.pipeline import (
 )
 from repro.pipeline.cache import reset_default_cache
 from repro.sim import CostModel, simulate
+from repro.sim.engine import _simulate_events, _simulate_vector
 from repro.util import perf
+
+# The reference kernels live with the tests, as equivalence oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import (  # noqa: E402
+    analyze_reference,
+    mm_route_reference,
+    nn_embed_reference,
+)
 
 MODEL = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.05)
 
@@ -200,8 +213,8 @@ def bench_sim_kernel() -> dict:
         tg = tg_fn()
         tg.phase_expr = Rep(tg.phase_expr, reps)
         mapping = map_computation(tg, topo_fn())
-        ref = simulate(mapping, MODEL, memoize=False, kernel="reference")
-        vec = simulate(mapping, MODEL, memoize=False, kernel="vector")
+        ref = _simulate_events(mapping, MODEL, memoize=False)
+        vec = _simulate_vector(mapping, MODEL, memoize=False)
         identical = (
             vec.total_time == ref.total_time
             and vec.step_times == ref.step_times
@@ -211,10 +224,10 @@ def bench_sim_kernel() -> dict:
             and vec.messages == ref.messages
         )
         reference_s = best_of(
-            lambda: simulate(mapping, MODEL, memoize=False, kernel="reference"), 3
+            lambda: _simulate_events(mapping, MODEL, memoize=False), 3
         )
         vector_s = best_of(
-            lambda: simulate(mapping, MODEL, memoize=False, kernel="vector"), 3
+            lambda: _simulate_vector(mapping, MODEL, memoize=False), 3
         )
         out[name] = {
             "reference_s": reference_s,
@@ -261,11 +274,9 @@ def bench_embed() -> dict:
     clusters = [[t] for t in tg.nodes]
     nn_embed(tg, clusters, topo)  # warm the distance-matrix cache
     vector = best_of(lambda: nn_embed(tg, clusters, topo), 3)
-    reference = best_of(
-        lambda: nn_embed(tg, clusters, topo, kernel="reference"), 1
-    )
-    identical = nn_embed(tg, clusters, topo) == nn_embed(
-        tg, clusters, topo, kernel="reference"
+    reference = best_of(lambda: nn_embed_reference(tg, clusters, topo), 1)
+    identical = nn_embed(tg, clusters, topo) == nn_embed_reference(
+        tg, clusters, topo
     )
     return {
         "workload": "torus16x16_256clusters",
@@ -284,11 +295,9 @@ def bench_route() -> dict:
     assignment = {t: i % topo.n_processors for i, t in enumerate(tg.nodes)}
     mm_route(tg, topo, assignment)  # warm the next-hop tables
     table = best_of(lambda: mm_route(tg, topo, assignment), 3)
-    reference = best_of(
-        lambda: mm_route(tg, topo, assignment, kernel="reference"), 3
-    )
+    reference = best_of(lambda: mm_route_reference(tg, topo, assignment), 3)
     a = mm_route(tg, topo, assignment)
-    b = mm_route(tg, topo, assignment, kernel="reference")
+    b = mm_route_reference(tg, topo, assignment)
     return {
         "workload": "fft64_scattered_hcube4",
         "table_s": table,
@@ -313,11 +322,9 @@ def bench_metrics() -> dict:
     mapping = Mapping(tg, topo, assignment, mm_route(tg, topo, assignment).routes)
     sim = simulate(mapping, MODEL)
     vector = best_of(lambda: analyze(mapping, MODEL, sim=sim), 3)
-    reference = best_of(
-        lambda: analyze(mapping, MODEL, sim=sim, kernel="reference"), 3
-    )
-    identical = analyze(mapping, MODEL, sim=sim) == analyze(
-        mapping, MODEL, sim=sim, kernel="reference"
+    reference = best_of(lambda: analyze_reference(mapping, MODEL, sim=sim), 3)
+    identical = analyze(mapping, MODEL, sim=sim) == analyze_reference(
+        mapping, MODEL, sim=sim
     )
     return {
         "workload": "torus16x16_scattered_hcube6",

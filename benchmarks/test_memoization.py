@@ -7,11 +7,11 @@ expression to one event-loop evaluation per *distinct* step.  The
 acceptance bar for PR 1: at least a 5x wall-clock win on a 100x-repeated
 Jacobi sweep, with bit-identical results.
 
-Memoization is an event-loop property, so the timed runs pin
-``kernel="reference"``: under ``kernel="auto"`` the PR 6 batched numpy
-kernel makes the *uncached* path so much faster that the memoization
-ratio no longer measures what PR 1 promised (the ``sim_kernel`` section
-of ``run_bench.py`` tracks that speedup instead).
+Memoization is an event-loop property, so the timed runs pin the event
+loop (``_simulate_events``): under :func:`simulate`'s automatic engine
+choice the batched numpy kernel makes the *uncached* path so much faster
+that the ratio would no longer measure the step cache (the
+``sim_kernel`` section of ``run_bench.py`` tracks that speedup instead).
 """
 
 import time
@@ -21,6 +21,7 @@ from repro.graph.phase_expr import Rep
 from repro.larcs import stdlib
 from repro.mapper import map_computation
 from repro.sim import CostModel, simulate
+from repro.sim.engine import _simulate_events
 
 MODEL = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.05)
 
@@ -46,10 +47,8 @@ def test_repeated_phase_speedup(benchmark):
     plain = simulate(mapping, MODEL, memoize=False)
     assert memoized == plain  # every SimulationResult field identical
 
-    t_memo = best_of(lambda: simulate(mapping, MODEL, kernel="reference"))
-    t_plain = best_of(
-        lambda: simulate(mapping, MODEL, memoize=False, kernel="reference")
-    )
+    t_memo = best_of(lambda: _simulate_events(mapping, MODEL))
+    t_plain = best_of(lambda: _simulate_events(mapping, MODEL, memoize=False))
     speedup = t_plain / t_memo
     print(f"jacobi8x8 x100: memoized {t_memo * 1e3:.2f}ms vs "
           f"uncached {t_plain * 1e3:.2f}ms ({speedup:.1f}x)")
@@ -64,14 +63,9 @@ def test_speedup_grows_with_repetitions(benchmark):
         out = []
         for reps in (50, 500):
             mapping = repeated_jacobi(reps)
-            t_memo = best_of(
-                lambda: simulate(mapping, MODEL, kernel="reference"), 3
-            )
+            t_memo = best_of(lambda: _simulate_events(mapping, MODEL), 3)
             t_plain = best_of(
-                lambda: simulate(
-                    mapping, MODEL, memoize=False, kernel="reference"
-                ),
-                3,
+                lambda: _simulate_events(mapping, MODEL, memoize=False), 3
             )
             out.append((reps, t_plain / t_memo))
         return out

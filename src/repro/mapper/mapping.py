@@ -106,6 +106,13 @@ class Mapping:
                 setattr(dup, attr, getattr(self, attr))
         return dup
 
+    def __getstate__(self) -> dict:
+        # The simulator's compiled tables (see repro.sim.engine) are a
+        # rebuildable cache: keep them out of pickles and the disk tier.
+        state = self.__dict__.copy()
+        state.pop("_sim_compiled", None)
+        return state
+
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------

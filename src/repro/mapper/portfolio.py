@@ -49,10 +49,10 @@ from repro.errors import AllStrategiesFailed
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping, NotApplicableError
 from repro.pipeline.stages import default_portfolio
+from repro.runtime import EXECUTORS
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
-from repro.util.pools import EXECUTORS as _EXECUTORS
 
 __all__ = [
     "Candidate",
@@ -366,8 +366,8 @@ def map_many(
     """
     from repro.runtime import journal_for, plan_from_env, run_supervised
 
-    if executor not in _EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
     if resume not in _RESUME_MODES:
         raise ValueError(
             f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"

@@ -2,9 +2,9 @@
 
 A :class:`MappingSession` ingests a typed event stream (dynamic task
 arrivals/departures, traffic drift, hardware faults and recoveries),
-keeps the served mapping valid with incremental repair, and launches a
-supervised background full-remap portfolio when quality drifts past the
-hysteresis threshold -- hot-swapping only when the migration-cost model
+keeps the served mapping valid with incremental repair, and runs a
+supervised full-remap portfolio (inline, on the triggering event) when
+quality drifts past the hysteresis threshold -- hot-swapping only when the migration-cost model
 says the move pays for itself.  :mod:`repro.online.scenarios` fuzzes
 event streams (churn bursts, correlated failures, flapping links) for
 tests, benchmarks, and chaos soaks.  See ``docs/online.md``.

@@ -26,8 +26,9 @@ Per event:
 After every event the session measures **quality drift**: current
 communication cost against a baseline the last full portfolio run
 established.  When drift crosses the hysteresis trigger (and the
-cooldown has expired, and the trigger is armed), it launches a
-*supervised background full remap* -- :func:`~repro.mapper.run_portfolio`
+cooldown has expired, and the trigger is armed), it runs a
+*supervised full remap* inline, within the triggering event's
+:meth:`MappingSession.apply` -- :func:`~repro.mapper.run_portfolio`
 under the PR 5 runtime with per-strategy deadline, deterministic
 retries, and chaos injection -- and **hot-swaps** only when the
 migration-cost model says the amortized gain pays for moving the tasks:

@@ -6,17 +6,23 @@ CLI's flag plumbing.  A :class:`RunConfig` is the single typed value that
 states everything a pipeline run depends on:
 
 * :class:`MapConfig` -- which mapping strategy, load bound, refinement;
-* :class:`SimConfig` -- the simulated machine's cost model and the step
-  memoization switch;
-* :class:`AnalyzeConfig` -- the METRICS accumulation kernel;
+* :class:`SimConfig` -- the simulated machine's cost model;
 * the stage list to execute and whether the artifact cache may serve it.
 
-All four are frozen and hashable, so configs work as dict keys, dedupe in
+All three are frozen and hashable, so configs work as dict keys, dedupe in
 sets, and fingerprint stably for the content-addressed cache
 (:meth:`RunConfig.fingerprint`).  ``from_dict``/``to_dict`` round-trip them
 through JSON/TOML for the ``repro run`` serving entry point; ``from_dict``
 rejects unknown keys so a typo in a config file fails loudly instead of
 silently running defaults.
+
+Retired keys -- ``sim.memoize``, ``sim.kernel`` and the ``analyze``
+section once selected between engines with identical results -- are the
+one compatibility seam, and it lives here alone: ``from_dict`` accepts
+any value they could take and drops it (any other value still raises),
+and ``to_dict`` keeps emitting their single remaining value, so
+fingerprints, cache keys and journal identities are byte-identical to
+those of configs written before the keys retired.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 from repro.sim.model import CostModel
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["MapConfig", "SimConfig", "AnalyzeConfig", "RunConfig", "DEFAULT_STAGES"]
+__all__ = ["MapConfig", "SimConfig", "RunConfig", "DEFAULT_STAGES"]
 
 #: The full pipeline, in execution order.  ``refine`` is declared even when
 #: ``MapConfig.refine`` is false -- the stage no-ops -- so one stage list
@@ -35,11 +41,17 @@ DEFAULT_STAGES: tuple[str, ...] = (
     "contract", "embed", "refine", "route", "simulate", "analyze",
 )
 
-_METRICS_KERNELS = ("vector", "reference")
 _REFINE_VALUES = ("none", "kl", "delta_gain")
 _CAPACITY_MODES = ("strict", "ignore")
-_SIM_KERNELS = ("auto", "vector", "reference")
 _SWITCHING_MODES = ("store_and_forward", "cut_through")
+
+#: Retired keys, each with the values it accepted and the one value
+#: ``to_dict`` still writes for it (see the module docstring).
+_RETIRED_SIM = {
+    "memoize": ((True, False), True),
+    "kernel": (("auto", "vector", "reference"), "auto"),
+}
+_RETIRED_ANALYZE = {"kernel": (("vector", "reference"), "vector")}
 
 
 def _check_unknown(cls, data: dict) -> None:
@@ -50,6 +62,23 @@ def _check_unknown(cls, data: dict) -> None:
             f"unknown {cls.__name__} keys {sorted(unknown)!r}; "
             f"choose from {sorted(known)!r}"
         )
+
+
+def _drop_retired(section: str, data: dict, retired: dict) -> dict:
+    """*data* without its *retired* keys, each checked against the values
+    it accepted before it retired."""
+    out = dict(data)
+    for key, (accepted, _) in retired.items():
+        if key in out and out.pop(key) not in accepted:
+            raise ValueError(
+                f"{section}.{key} must be one of {accepted}, "
+                f"got {data[key]!r}"
+            )
+    return out
+
+
+def _retired_values(retired: dict) -> dict:
+    return {key: value for key, (_, value) in retired.items()}
 
 
 @dataclass(frozen=True)
@@ -128,31 +157,22 @@ class MapConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """The simulated machine's parameters plus the memoization switch.
+    """The simulated machine's parameters.
 
-    The first four fields mirror :class:`repro.sim.CostModel` exactly;
-    :meth:`cost_model` converts.  ``memoize`` toggles the PR 1 step cache
-    and ``kernel`` selects the step engine (``"auto"``/``"vector"``/
-    ``"reference"``, see :func:`repro.sim.simulate`); both change
-    wall-clock time only, never results.
+    The fields mirror :class:`repro.sim.CostModel` exactly;
+    :meth:`cost_model` converts.
     """
 
     hop_latency: float = 1.0
     byte_time: float = 1.0
     exec_time: float = 1.0
     switching: str = "store_and_forward"
-    memoize: bool = True
-    kernel: str = "auto"
 
     def __post_init__(self):
         if self.switching not in _SWITCHING_MODES:
             raise ValueError(
                 f"switching must be one of {_SWITCHING_MODES}, "
                 f"got {self.switching!r}"
-            )
-        if self.kernel not in _SIM_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_SIM_KERNELS}, got {self.kernel!r}"
             )
         if min(self.hop_latency, self.byte_time, self.exec_time) < 0:
             raise ValueError("cost-model parameters must be non-negative")
@@ -167,49 +187,24 @@ class SimConfig:
         )
 
     @classmethod
-    def from_model(
-        cls, model: CostModel, *, memoize: bool = True, kernel: str = "auto"
-    ) -> "SimConfig":
+    def from_model(cls, model: CostModel) -> "SimConfig":
         """Wrap an existing cost model (the legacy entry points' shims)."""
         return cls(
             hop_latency=model.hop_latency,
             byte_time=model.byte_time,
             exec_time=model.exec_time,
             switching=model.switching,
-            memoize=memoize,
-            kernel=kernel,
         )
 
     def to_dict(self) -> dict:
-        """JSON-compatible form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
+        """JSON-compatible form (inverse of :meth:`from_dict`), with the
+        retired keys' fixed values."""
+        return {**asdict(self), **_retired_values(_RETIRED_SIM)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         """Build from a (possibly partial) dict; unknown keys raise."""
-        _check_unknown(cls, data)
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    """METRICS knobs: which accumulation kernel computes link metrics."""
-
-    kernel: str = "vector"
-
-    def __post_init__(self):
-        if self.kernel not in _METRICS_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_METRICS_KERNELS}, got {self.kernel!r}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible form (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalyzeConfig":
-        """Build from a (possibly partial) dict; unknown keys raise."""
+        data = _drop_retired("sim", data, _RETIRED_SIM)
         _check_unknown(cls, data)
         return cls(**data)
 
@@ -220,7 +215,7 @@ class RunConfig:
 
     Attributes
     ----------
-    map, sim, analyze:
+    map, sim:
         The per-stage configs.
     stages:
         The stage names to execute, in order (a subset of the registered
@@ -236,7 +231,6 @@ class RunConfig:
 
     map: MapConfig = field(default_factory=MapConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    analyze: AnalyzeConfig = field(default_factory=AnalyzeConfig)
     stages: tuple[str, ...] = DEFAULT_STAGES
     cache: bool = True
 
@@ -252,7 +246,7 @@ class RunConfig:
         return {
             "map": self.map.to_dict(),
             "sim": self.sim.to_dict(),
-            "analyze": self.analyze.to_dict(),
+            "analyze": _retired_values(_RETIRED_ANALYZE),
             "stages": list(self.stages),
             "cache": self.cache,
         }
@@ -265,14 +259,17 @@ class RunConfig:
         is optional and defaults apply, but misspelt keys raise
         :class:`ValueError` rather than silently running defaults.
         """
+        data = dict(data)
+        analyze = data.pop("analyze", {})
         _check_unknown(cls, data)
+        unknown = set(_drop_retired("analyze", analyze, _RETIRED_ANALYZE))
+        if unknown:
+            raise ValueError(f"unknown analyze keys {sorted(unknown)!r}")
         kwargs: dict = {}
         if "map" in data:
             kwargs["map"] = MapConfig.from_dict(data["map"])
         if "sim" in data:
             kwargs["sim"] = SimConfig.from_dict(data["sim"])
-        if "analyze" in data:
-            kwargs["analyze"] = AnalyzeConfig.from_dict(data["analyze"])
         if "stages" in data:
             kwargs["stages"] = tuple(data["stages"])
         if "cache" in data:

@@ -458,26 +458,14 @@ def _run_simulate(ctx: PipelineContext) -> None:
     """Run the discrete-event simulator under ``SimConfig``'s machine."""
     from repro.sim.engine import simulate
 
-    ctx.sim = simulate(
-        ctx.mapping,
-        ctx.config.sim.cost_model(),
-        memoize=ctx.config.sim.memoize,
-        kernel=ctx.config.sim.kernel,
-    )
+    ctx.sim = simulate(ctx.mapping, ctx.config.sim.cost_model())
 
 
 def _run_analyze(ctx: PipelineContext) -> None:
     """Compute the METRICS suite, reusing the simulate stage's result."""
     from repro.metrics.analysis import analyze
 
-    ctx.metrics = analyze(
-        ctx.mapping,
-        ctx.config.sim.cost_model(),
-        memoize=ctx.config.sim.memoize,
-        sim=ctx.sim,
-        kernel=ctx.config.analyze.kernel,
-        sim_kernel=ctx.config.sim.kernel,
-    )
+    ctx.metrics = analyze(ctx.mapping, ctx.config.sim.cost_model(), sim=ctx.sim)
 
 
 register_stage(

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 from repro.arch.topology import DisconnectedTopologyError, Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
+from repro.runtime import EXECUTORS
 from repro.sim.engine import simulate
 from repro.sim.model import CostModel
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
-from repro.util.pools import EXECUTORS
 
 from repro.resilience.faults import FaultSet
 from repro.resilience.repair import repair_mapping

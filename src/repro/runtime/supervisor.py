@@ -1,8 +1,8 @@
 """``run_supervised`` -- the supervised task-execution core.
 
 Every fan-out entry point in the toolchain (the mapping portfolio, the
-failure sweep, batched pipeline runs, ``run_ordered``) executes through
-this one function, so supervision semantics live in exactly one place:
+failure sweep, batched pipeline runs) executes through this one
+function, so supervision semantics live in exactly one place:
 
 * **Deadlines** -- each attempt gets a wall-clock budget.  A process
   worker that blows it is **killed** and the attempt recorded as a
@@ -439,7 +439,7 @@ def run_supervised(
         journalled are served from it without running.
     strict:
         Raise the first failure (by input order) instead of returning
-        failed results -- the bare ``run_ordered`` contract.  The serial
+        failed results -- the bare ordered fan-out contract.  The serial
         executor raises immediately; parallel executors finish in-flight
         work first.
 

@@ -125,6 +125,9 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro/{__version__}"
     sys_version = ""                    # no Python version leak in Server:
     timeout = 30                        # idle keep-alive connections expire
+    # TCP_NODELAY: headers and body go out in two sends, and with Nagle on
+    # a body past one segment waits ~40 ms for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     server: MappingServer  # narrowed for the attribute accesses below
 

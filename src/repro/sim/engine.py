@@ -35,19 +35,16 @@ in it -- not on when it runs.  :func:`simulate` exploits this two ways:
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass, field
 
 from repro.mapper.mapping import Mapping
+from repro.sim import vector
 from repro.sim.model import CostModel
 from repro.util import perf
 
 __all__ = ["simulate", "step_cost", "SimulationResult"]
 
-#: Valid values for the ``kernel`` argument of :func:`simulate`.
-_KERNELS = ("auto", "vector", "reference")
-
-#: ``kernel="auto"`` switches to the batched numpy kernel once the run's
+#: :func:`simulate` switches to the batched numpy kernel once the run's
 #: effective store-and-forward hop count (deduplicated under memoization)
 #: crosses this threshold; below it the per-step event loop wins on
 #: constant factors.  Tuned on the ``sim_micro`` benchmarks.
@@ -243,6 +240,19 @@ class _CompiledSim:
 
         return _StepOutcome(duration, link_busy, proc_busy, n_msgs)
 
+    def in_phase_order(self, phase_time: dict[str, float]) -> dict[str, float]:
+        """*phase_time* keyed in the task graph's declared phase order.
+
+        Steps are frozensets, whose iteration order follows the string
+        hash seed; re-keying keeps :attr:`SimulationResult.phase_time`
+        (and everything rendered from it) identical in every process.
+        """
+        return {
+            name: phase_time[name]
+            for name in self.mapping.task_graph.phase_names
+            if name in phase_time
+        }
+
 
 def _store_and_forward(
     msgs: list[tuple[int, tuple[int, ...], float]],
@@ -322,7 +332,6 @@ def simulate(
     max_steps: int = 100_000,
     memoize: bool = True,
     link_slowdowns: dict[int, float] | None = None,
-    kernel: str = "auto",
 ) -> SimulationResult:
     """Run the mapped computation through its phase expression.
 
@@ -343,83 +352,110 @@ def simulate(
     (:func:`repro.resilience.repair_mapping`) charges its slow links with
     no extra plumbing.
 
-    *kernel* selects the step engine: ``"reference"`` is the per-step
-    event loop, ``"vector"`` the batched numpy kernel
-    (:mod:`repro.sim.vector`), and ``"auto"`` (the default) picks by
-    workload size.  The kernels produce identical results -- the choice
+    The step engine is picked by workload size: the per-step event loop
+    for small runs, the batched numpy kernel (:mod:`repro.sim.vector`)
+    past :data:`_AUTO_MIN_HOPS` effective hops or :data:`_AUTO_MIN_STEPS`
+    memoized steps.  The engines produce identical results -- the choice
     is recorded on :attr:`SimulationResult.kernel` and in the
     ``sim.kernel_vector`` / ``sim.kernel_reference`` perf counters.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-    model = model or CostModel()
-    tg = mapping.task_graph
     with perf.span("sim.simulate"):
-        # Structural validation is pure for an unmutated mapping, so its
-        # success is memoized on the object; the size token catches the
-        # add/delete mutations (missing routes, dangling tasks) that the
-        # failure-injection paths exercise.
-        token = (len(mapping.assignment), len(mapping.routes))
-        if getattr(mapping, "_sim_validated", None) != token:
-            mapping.validate(require_routes=True)
-            mapping._sim_validated = token
-        if tg.phase_expr is not None:
-            steps = tg.phase_expr.linearize(max_steps=max_steps)
+        compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
+        plan = vector.plan_batch(compiled, steps, memoize)
+        if plan.effective_hops >= _AUTO_MIN_HOPS or (
+            memoize and len(steps) >= _AUTO_MIN_STEPS
+        ):
+            return _run_vector(plan)
+        return _run_events(compiled, steps, memoize)
+
+
+def _simulate_events(
+    mapping: Mapping,
+    model: CostModel | None = None,
+    *,
+    max_steps: int = 100_000,
+    memoize: bool = True,
+    link_slowdowns: dict[int, float] | None = None,
+) -> SimulationResult:
+    """:func:`simulate` pinned to the per-step event loop."""
+    compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
+    return _run_events(compiled, steps, memoize)
+
+
+def _simulate_vector(
+    mapping: Mapping,
+    model: CostModel | None = None,
+    *,
+    max_steps: int = 100_000,
+    memoize: bool = True,
+    link_slowdowns: dict[int, float] | None = None,
+) -> SimulationResult:
+    """:func:`simulate` pinned to the batched numpy kernel."""
+    compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
+    return _run_vector(vector.plan_batch(compiled, steps, memoize))
+
+
+def _prepare(
+    mapping: Mapping,
+    model: CostModel | None,
+    max_steps: int,
+    link_slowdowns: dict[int, float] | None,
+) -> tuple["_CompiledSim", list[frozenset[str]]]:
+    """Validate *mapping* and return its compiled tables and step list."""
+    tg = mapping.task_graph
+    # Structural validation is pure for an unmutated mapping, so its
+    # success is memoized on the object; the size token catches the
+    # add/delete mutations (missing routes, dangling tasks) that the
+    # failure-injection paths exercise.
+    token = (len(mapping.assignment), len(mapping.routes))
+    if getattr(mapping, "_sim_validated", None) != token:
+        mapping.validate(require_routes=True)
+        mapping._sim_validated = token
+    if tg.phase_expr is not None:
+        steps = tg.phase_expr.linearize(max_steps=max_steps)
+    else:
+        steps = [frozenset(tg.phase_names)]
+    return _compiled_for(mapping, model or CostModel(), link_slowdowns), steps
+
+
+def _run_vector(plan) -> SimulationResult:
+    perf.count("sim.kernel_vector")
+    result = plan.run()
+    result.kernel = "vector"
+    return result
+
+
+def _run_events(
+    compiled: "_CompiledSim", steps: list[frozenset[str]], memoize: bool
+) -> SimulationResult:
+    """The per-step event loop: the small-run engine and the batched
+    kernel's hazard fallback."""
+    perf.count("sim.kernel_reference")
+    result = SimulationResult()
+    cache: dict[frozenset[str], _StepOutcome] = {}
+    phase_time: dict[str, float] = {}
+    for step in steps:
+        outcome = cache.get(step) if memoize else None
+        if outcome is None:
+            outcome = compiled.run_step(step)
+            if memoize:
+                cache[step] = outcome
+            perf.count("sim.step_cache_miss")
         else:
-            steps = [frozenset(tg.phase_names)]
-
-        compiled = _compiled_for(mapping, model, link_slowdowns)
-        plan = None
-        if kernel != "reference":
-            from repro.sim import vector
-
-            plan = vector.plan_batch(compiled, steps, memoize)
-            if (
-                kernel == "auto"
-                and plan.effective_hops < _AUTO_MIN_HOPS
-                and not (memoize and len(steps) >= _AUTO_MIN_STEPS)
-            ):
-                plan = None
-        if plan is not None:
-            perf.count("sim.kernel_vector")
-            result = plan.run()
-            result.kernel = "vector"
-            return result
-
-        perf.count("sim.kernel_reference")
-        result = SimulationResult()
-        cache: dict[frozenset[str], _StepOutcome] = {}
-        for step in steps:
-            outcome = cache.get(step) if memoize else None
-            if outcome is None:
-                outcome = compiled.run_step(step)
-                if memoize:
-                    cache[step] = outcome
-                perf.count("sim.step_cache_miss")
-            else:
-                perf.count("sim.step_cache_hit")
-            result.step_times.append(outcome.duration)
-            result.total_time += outcome.duration
-            result.messages += outcome.messages
-            link_busy = result.link_busy
-            for link, busy in outcome.link_busy.items():
-                link_busy[link] = link_busy.get(link, 0.0) + busy
-            proc_busy = result.proc_busy
-            for proc, busy in outcome.proc_busy.items():
-                proc_busy[proc] = proc_busy.get(proc, 0.0) + busy
-            phase_time = result.phase_time
-            for name in step:
-                phase_time[name] = phase_time.get(name, 0.0) + outcome.duration
-        return result
-
-
-#: Per-mapping cache of compiled phase tables, keyed by (model, slowdowns).
-#: Weak keys keep discarded candidate mappings collectable.  Mappings are
-#: treated as immutable once routed (the pipeline's content-addressed
-#: caching already relies on this), so compiled tables never go stale.
-_COMPILED_CACHE: "weakref.WeakKeyDictionary[Mapping, dict]" = (
-    weakref.WeakKeyDictionary()
-)
+            perf.count("sim.step_cache_hit")
+        result.step_times.append(outcome.duration)
+        result.total_time += outcome.duration
+        result.messages += outcome.messages
+        link_busy = result.link_busy
+        for link, busy in outcome.link_busy.items():
+            link_busy[link] = link_busy.get(link, 0.0) + busy
+        proc_busy = result.proc_busy
+        for proc, busy in outcome.proc_busy.items():
+            proc_busy[proc] = proc_busy.get(proc, 0.0) + busy
+        for name in step:
+            phase_time[name] = phase_time.get(name, 0.0) + outcome.duration
+    result.phase_time = compiled.in_phase_order(phase_time)
+    return result
 
 
 def _compiled_for(
@@ -427,9 +463,13 @@ def _compiled_for(
     model: CostModel,
     link_slowdowns: dict[int, float] | None,
 ) -> _CompiledSim:
-    """The (weakly) cached compiled tables for a (mapping, model) pair.
+    """The cached compiled tables for a (mapping, model) pair.
 
-    The cache key includes the *resolved* slowdown map, so passing
+    The tables live on the mapping itself, so they are freed with it.
+    Mappings are treated as immutable once routed (the pipeline's
+    content-addressed caching already relies on this), so compiled tables
+    never go stale; :meth:`Mapping.copy` starts a copy without them.  The
+    cache key includes the *resolved* slowdown map, so passing
     ``link_slowdowns=None`` after degrading the topology in place still
     compiles fresh tables for the new factors.
     """
@@ -437,10 +477,7 @@ def _compiled_for(
     if resolved is None:
         resolved = getattr(mapping.topology, "link_slowdowns", {})
     key = (model, tuple(sorted((resolved or {}).items())))
-    try:
-        per_mapping = _COMPILED_CACHE.setdefault(mapping, {})
-    except TypeError:  # mapping not weak-referenceable
-        return _CompiledSim(mapping, model, link_slowdowns)
+    per_mapping = mapping.__dict__.setdefault("_sim_compiled", {})
     compiled = per_mapping.get(key)
     if compiled is None:
         compiled = per_mapping[key] = _CompiledSim(mapping, model, link_slowdowns)
@@ -459,7 +496,7 @@ def step_cost(
     The public, cached face of the step engine for callers that price
     single steps instead of whole phase expressions -- migration planning
     (:mod:`repro.mapper.migration`) being the main one.  Compiled phase
-    tables are cached per mapping (weakly) and per (model, slowdowns), so
+    tables are cached on the mapping per (model, slowdowns), so
     repeated quotes against the same mapping skip recompilation; large
     steps are dispatched to the batched numpy kernel automatically.
 
@@ -475,7 +512,5 @@ def step_cost(
     comms = tuple(sorted(n for n in step if n in compiled.comm_names))
     msgs, _, _ = compiled.step_table(comms)
     if sum(len(links) for _, links, _ in msgs) >= _AUTO_MIN_HOPS:
-        from repro.sim import vector
-
         return vector.plan_batch(compiled, [step], True).run().total_time
     return compiled.run_step(step).duration

@@ -50,8 +50,8 @@ strictly sequential -- the same left-to-right float additions the
 reference accumulation loop performs.  (``np.sum`` would *not* do: it
 sums pairwise.)  The equivalence contract is pinned by
 ``tests/test_sim_vector.py``: for every field of
-:class:`~repro.sim.SimulationResult`, ``kernel="vector"`` equals
-``kernel="reference"`` exactly under ``==``.
+:class:`~repro.sim.SimulationResult`, this kernel equals the event loop
+exactly under ``==``.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ class _BatchPlan:
 
     ``effective_hops`` is the total store-and-forward hop count the batch
     kernel would process (deduplicated when *memoize* is on, since equal
-    steps are then solved once) -- the size signal ``kernel="auto"`` uses
-    to decide whether array batching will beat the event loop.
+    steps are then solved once) -- the size signal :func:`repro.sim.simulate`
+    uses to decide whether array batching will beat the event loop.
     """
 
     def __init__(self, compiled, steps, memoize: bool):
@@ -353,16 +353,14 @@ class _BatchPlan:
                 proc: float(totals[i]) for proc, i in procs.items()
             }
 
-        names: dict = {}
-        for u in unique:
-            for name in u.names:
-                names.setdefault(name, None)
-        for name in names:
+        phase_time: dict = {}
+        for name in set().union(*(u.names for u in unique)):
             mask = np.array([name in u.names for u in unique], dtype=bool)
             sel = durations[mask[uid]]
-            result.phase_time[name] = (
+            phase_time[name] = (
                 float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
             )
+        result.phase_time = compiled.in_phase_order(phase_time)
         return result
 
     # ------------------------------------------------------------------

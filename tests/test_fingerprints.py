@@ -17,7 +17,7 @@ import pytest
 from repro.arch import networks
 from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
-from repro.pipeline import AnalyzeConfig, MapConfig, RunConfig, SimConfig
+from repro.pipeline import MapConfig, RunConfig, SimConfig
 from repro.resilience import FaultSet
 from repro.util.fingerprint import canonical_json, sort_encoded, stable_digest
 
@@ -168,7 +168,6 @@ def test_runconfig_fingerprint_sensitivity_and_cache_neutrality():
     base = RunConfig().fingerprint()
     assert RunConfig(map=MapConfig(strategy="mwm")).fingerprint() != base
     assert RunConfig(sim=SimConfig(hop_latency=2.0)).fingerprint() != base
-    assert RunConfig(analyze=AnalyzeConfig(kernel="reference")).fingerprint() != base
     assert RunConfig(stages=("contract", "embed")).fingerprint() != base
     # The cache switch changes what is *stored*, not what is computed.
     assert RunConfig(cache=False).fingerprint() == base

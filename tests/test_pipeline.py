@@ -11,7 +11,6 @@ from repro.arch import networks
 from repro.graph import families
 from repro.mapper import NotApplicableError
 from repro.pipeline import (
-    AnalyzeConfig,
     ArtifactCache,
     MapConfig,
     RunConfig,
@@ -38,7 +37,6 @@ def test_runconfig_roundtrip():
     config = RunConfig(
         map=MapConfig(strategy="mwm", load_bound=3, refine=True),
         sim=SimConfig(hop_latency=2.0, byte_time=0.5, switching="cut_through"),
-        analyze=AnalyzeConfig(kernel="reference"),
         stages=("contract", "embed", "route"),
         cache=False,
     )
@@ -69,7 +67,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(hop_latency=-1.0)
     with pytest.raises(ValueError):
-        AnalyzeConfig(kernel="gpu")
+        RunConfig.from_dict({"analyze": {"kernel": "gpu"}})
     with pytest.raises(ValueError):
         RunConfig(stages=())
 

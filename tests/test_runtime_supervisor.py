@@ -21,7 +21,6 @@ from repro.runtime import (
     plan_from_env,
     run_supervised,
 )
-from repro.util.pools import run_ordered
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -108,28 +107,31 @@ class TestRunSupervisedBasics:
 
 
 class TestRunOrdered:
+    """The strict ordered fan-out: ``run_supervised(..., strict=True)``."""
+
     def test_values_in_order(self):
-        assert run_ordered(_double, [1, 2, 3], executor="thread") == [2, 4, 6]
+        results = run_supervised(
+            _double, [1, 2, 3], executor="thread", strict=True
+        )
+        assert [r.value for r in results] == [2, 4, 6]
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_nonpositive_max_workers_raise(self, bad):
-        with pytest.raises(ValueError, match="1 means serial"):
-            run_ordered(_double, [1, 2], executor="thread", max_workers=bad)
-
-    def test_one_worker_means_serial(self):
-        # Documented contract: max_workers=1 demotes to the serial path
-        # (same results, no pool) rather than erroring.
-        assert run_ordered(
-            _double, [1, 2, 3], executor="process", max_workers=1
-        ) == [2, 4, 6]
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            run_supervised(
+                _double, [1, 2], executor="thread", max_workers=bad,
+                strict=True,
+            )
 
     def test_unknown_executor(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            run_ordered(_double, [1], executor="gpu")
+            run_supervised(_double, [1], executor="gpu", strict=True)
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="negative payload"):
-            run_ordered(_raise_on_negative, [1, -5], executor="serial")
+            run_supervised(
+                _raise_on_negative, [1, -5], executor="serial", strict=True
+            )
 
 
 class TestDeadlines:

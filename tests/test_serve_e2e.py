@@ -267,3 +267,39 @@ class TestSession:
         _, stats = loadgen.request_once(host, port, "GET", "/v1/stats")
         assert stats["server"]["session_requests"] >= 2
         assert stats["server"]["session_errors"] >= 1
+
+
+class TestTransport:
+    def test_responses_are_sent_with_nagle_disabled(self, monkeypatch):
+        """Headers and body leave in two sends; with Nagle on, a body past
+        one segment waits ~40 ms on the client's delayed ACK."""
+        import socket
+
+        from repro.serve.batcher import MicroBatcher
+        from repro.serve.server import MappingServer, _Handler
+
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        batcher = MicroBatcher(window_ms=0.0)
+        server = MappingServer(("127.0.0.1", 0), cache=None, batcher=batcher)
+        thread = threading.Thread(target=server.handle_request)
+        thread.start()
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=10)
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().status == 200
+            conn.close()
+            thread.join(timeout=10)
+        finally:
+            server.server_close()
+            batcher.close()
+        assert seen and all(seen)

@@ -1,5 +1,13 @@
 """Tests for the discrete-event simulator (repro.sim)."""
 
+import gc
+import json
+import pickle
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import pytest
 
 from repro.arch import networks
@@ -8,7 +16,10 @@ from repro.larcs import stdlib
 from repro.mapper import map_computation
 from repro.mapper.mapping import Mapping
 from repro.mapper.routing import random_route
+from repro.pipeline import RunConfig, run_pipeline
 from repro.sim import CostModel, simulate
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestCostModel:
@@ -154,3 +165,74 @@ class TestContentionEffects:
         bad.routes = mm_route(tg, topo, scattered).routes
         model = CostModel(hop_latency=1.0, byte_time=1.0, exec_time=0.001)
         assert simulate(good, model).total_time < simulate(bad, model).total_time
+
+
+class TestCompiledTables:
+    def test_simulated_mapping_is_collectable(self):
+        # The compiled phase tables hold the mapping; they must live on the
+        # mapping (dying with it), not in a module-global cache keeping
+        # every simulated mapping alive.
+        result = run_pipeline(
+            families.torus(4, 4), networks.mesh(2, 4), RunConfig(cache=False)
+        )
+        ref = weakref.ref(result.mapping)
+        del result
+        gc.collect()
+        assert ref() is None
+
+    def test_tables_reused_but_not_pickled(self):
+        m = map_computation(families.ring(8), networks.mesh(2, 4))
+        first = simulate(m)
+        tables = m._sim_compiled
+        assert simulate(m) == first
+        assert m._sim_compiled is tables and len(tables) == 1
+        clone = pickle.loads(pickle.dumps(m))
+        assert not hasattr(clone, "_sim_compiled")
+        assert not hasattr(m.copy(), "_sim_compiled")
+        assert simulate(clone) == first
+
+
+# Both engines' phase order, for graphs whose steps run several phases in
+# parallel (cannon: shiftA || shiftB); the 300x repetition is long enough
+# for simulate() to pick the batched kernel.
+_PHASE_ORDER_SCRIPT = """
+import json
+from repro.arch import networks
+from repro.graph.phase_expr import Rep
+from repro.larcs import stdlib
+from repro.mapper import map_computation
+from repro.pipeline import RunConfig, run_pipeline
+from repro.sim import simulate
+
+topo = networks.torus(4, 4)
+result = run_pipeline(stdlib.load("cannon", q=4), topo, RunConfig(cache=False))
+long = stdlib.load("cannon", q=4)
+long.phase_expr = Rep(long.phase_expr, 300)
+vec = simulate(map_computation(long, topo))
+print(json.dumps({
+    "declared": result.mapping.task_graph.phase_names,
+    "engines": [result.sim.kernel, vec.kernel],
+    "events": list(result.sim.phase_time),
+    "metrics": list(result.metrics.phase_critical_time),
+    "vector": list(vec.phase_time),
+}))
+"""
+
+
+def test_phase_order_independent_of_hash_seed():
+    """Phase times are keyed in declared order under every hash seed."""
+    runs = []
+    for seed in ("1", "7", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PHASE_ORDER_SCRIPT],
+            env={"PYTHONPATH": SRC, "PYTHONHASHSEED": seed,
+                 "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    declared = runs[0]["declared"]
+    for run in runs:
+        assert run["engines"] == ["reference", "vector"]
+        assert run["declared"] == declared
+        for key in ("events", "metrics", "vector"):
+            assert run[key] == declared, (key, run[key])

@@ -1,11 +1,12 @@
 """Equivalence and behaviour tests for the batched numpy step kernel.
 
-The contract under test: ``simulate(..., kernel="vector")`` produces a
-:class:`~repro.sim.SimulationResult` whose every field is *identical*
-(plain ``==``, no tolerance) to ``kernel="reference"`` -- across graph
-families, machines, both switching modes, degraded links, and arbitrary
-hypothesis-generated workloads.  Plus the seams around the kernel: the
-FIFO tie-break, the hazard fallback, ``kernel="auto"`` selection, the
+The contract under test: the batched kernel (``_simulate_vector``)
+produces a :class:`~repro.sim.SimulationResult` whose every field is
+*identical* (plain ``==``, no tolerance) to the per-step event loop
+(``_simulate_events``) -- across graph families, machines, both switching
+modes, degraded links, and arbitrary hypothesis-generated workloads.
+Plus the seams around the kernel: the FIFO tie-break, the hazard
+fallback, :func:`simulate`'s automatic engine selection, the
 ``sim.kernel_*`` perf counters, and the public ``step_cost`` API.
 """
 
@@ -21,6 +22,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.mapper import map_computation
 from repro.mapper.mapping import Mapping
 from repro.sim import CostModel, SimulationResult, simulate, step_cost
+from repro.sim.engine import _simulate_events, _simulate_vector
 from repro.util import perf
 
 GRAPHS = {
@@ -55,8 +57,8 @@ def assert_identical(ref: SimulationResult, vec: SimulationResult):
 
 
 def both_kernels(mapping, model, **kw):
-    ref = simulate(mapping, model, kernel="reference", **kw)
-    vec = simulate(mapping, model, kernel="vector", **kw)
+    ref = _simulate_events(mapping, model, **kw)
+    vec = _simulate_vector(mapping, model, **kw)
     assert ref.kernel == "reference"
     assert vec.kernel == "vector"
     assert_identical(ref, vec)
@@ -276,34 +278,35 @@ class TestHazardFallback:
 
 
 # ----------------------------------------------------------------------
-# kernel selection, provenance, and the public step API
+# engine selection, provenance, and the public step API
 # ----------------------------------------------------------------------
 
 class TestKernelSelection:
     def test_auto_small_run_uses_reference(self):
         tg = families.ring(4)
         m = map_computation(tg, networks.ring(4))
-        assert simulate(m, kernel="auto").kernel == "reference"
+        assert simulate(m).kernel == "reference"
 
     def test_auto_large_run_uses_vector(self):
         tg = families.ring(16)
         tg.phase_expr = Rep(tg.phase_expr, 300)
         m = map_computation(tg, networks.mesh(2, 4))
-        assert simulate(m, kernel="auto", memoize=False).kernel == "vector"
+        assert simulate(m, memoize=False).kernel == "vector"
         # Memoized runs dedupe the hop count but still cross the
         # step-count threshold.
-        assert simulate(m, kernel="auto", memoize=True).kernel == "vector"
+        assert simulate(m, memoize=True).kernel == "vector"
 
     def test_invalid_kernel_rejected(self):
+        # The selector is retired: simulate() picks the engine itself.
         m = map_computation(families.ring(4), networks.ring(4))
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             simulate(m, kernel="numpy")
 
     def test_perf_counters_record_path(self):
         m = map_computation(families.ring(4), networks.ring(4))
         perf.reset()
-        simulate(m, kernel="vector")
-        simulate(m, kernel="reference")
+        _simulate_vector(m)
+        _simulate_events(m)
         counters = perf.counters()
         assert counters.get("sim.kernel_vector") == 1
         assert counters.get("sim.kernel_reference") == 1
@@ -315,7 +318,7 @@ class TestStepCost:
         tg.phase_expr = None  # simulate() treats this as one parallel step
         m = map_computation(tg, networks.mesh(2, 4))
         model = CostModel(hop_latency=1.0, byte_time=0.5, exec_time=0.25)
-        expected = simulate(m, model, kernel="reference").step_times[0]
+        expected = _simulate_events(m, model).step_times[0]
         assert step_cost(m, model) == expected
 
     def test_subset_of_phases(self):

@@ -1,9 +1,10 @@
-"""Vectorized-kernel equivalence tests (PR 2).
+"""Vectorized-kernel equivalence tests.
 
-Every fast kernel -- the integer-indexed NN-Embed, the table-driven
+Every production kernel -- the integer-indexed NN-Embed, the table-driven
 MM-Route, the bincount METRICS accumulation -- must produce bit-identical
-results to its reference implementation across the graph families x
-topology grid.  These tests pin that contract.
+results to its reference implementation in ``tests/oracles`` across the
+graph families x topology grid.  These tests pin that contract, and that
+the retired ``kernel=`` selectors stay gone.
 """
 
 import pytest
@@ -17,6 +18,11 @@ from repro.mapper.embedding.nn_embed import assignment_from_clusters, nn_embed
 from repro.mapper.routing.mm_route import mm_route
 from repro.metrics.analysis import analyze
 from repro.sim import CostModel, simulate
+from tests.oracles import (
+    analyze_reference,
+    mm_route_reference,
+    nn_embed_reference,
+)
 
 FAMILIES = [
     ("ring", lambda: families.ring(16)),
@@ -99,31 +105,29 @@ class TestNnEmbedEquivalence:
     def test_bit_identical_placements(self, tg_fn, topo_fn):
         tg, topo = tg_fn(), topo_fn()
         clusters = mwm_contract(tg, topo.n_processors)
-        assert nn_embed(tg, clusters, topo) == nn_embed(
-            tg, clusters, topo, kernel="reference"
+        assert nn_embed(tg, clusters, topo) == nn_embed_reference(
+            tg, clusters, topo
         )
 
     def test_singleton_clusters(self):
         tg = families.torus(4, 4)
         topo = networks.torus(4, 4)
         clusters = [[t] for t in tg.nodes]
-        assert nn_embed(tg, clusters, topo) == nn_embed(
-            tg, clusters, topo, kernel="reference"
+        assert nn_embed(tg, clusters, topo) == nn_embed_reference(
+            tg, clusters, topo
         )
 
     def test_empty_and_single_cluster(self):
         tg = families.ring(4)
         topo = networks.ring(4)
         assert nn_embed(tg, [], topo) == {}
-        both = [
-            nn_embed(tg, [list(tg.nodes)], topo, kernel=k)
-            for k in ("vector", "reference")
-        ]
-        assert both[0] == both[1]
+        one = [list(tg.nodes)]
+        assert nn_embed(tg, one, topo) == nn_embed_reference(tg, one, topo)
 
     def test_unknown_kernel_rejected(self):
+        # The selector is retired: one implementation, no kernel= knob.
         tg = families.ring(4)
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             nn_embed(tg, [[0], [1]], networks.ring(4), kernel="nope")
 
 
@@ -136,7 +140,7 @@ class TestMmRouteEquivalence:
             clusters, nn_embed(tg, clusters, topo)
         )
         table = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert table.routes == ref.routes
         assert table.rounds == ref.rounds
 
@@ -146,7 +150,7 @@ class TestMmRouteEquivalence:
         topo = networks.star(6)
         assignment = {i: i for i in range(6)}
         table = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert table.routes == ref.routes
         assert table.rounds == ref.rounds
 
@@ -162,13 +166,13 @@ class TestMmRouteEquivalence:
         assignment = {i: procs[i] for i in range(12)}
         first = mm_route(tg, topo, assignment)
         again = mm_route(tg, topo, assignment)
-        ref = mm_route(tg, topo, assignment, kernel="reference")
+        ref = mm_route_reference(tg, topo, assignment)
         assert first.routes == again.routes == ref.routes
         assert first.rounds == again.rounds == ref.rounds
 
     def test_unknown_kernel_rejected(self):
         tg = families.ring(4)
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             mm_route(tg, networks.ring(4), {i: i for i in range(4)}, kernel="x")
 
 
@@ -177,7 +181,7 @@ class TestAnalyzeEquivalence:
     def test_bit_identical_metrics(self, tg_fn, topo_fn):
         tg, topo = tg_fn(), topo_fn()
         mapping = map_computation(tg, topo)
-        assert analyze(mapping) == analyze(mapping, kernel="reference")
+        assert analyze(mapping) == analyze_reference(mapping)
 
     def test_sim_reuse_skips_resimulation(self):
         mapping = map_computation(families.nbody(15), networks.hypercube(3))
@@ -188,11 +192,7 @@ class TestAnalyzeEquivalence:
         assert reused == fresh
         assert reused.estimated_completion_time == sim.total_time
 
-    def test_memoize_flag_forwarded(self):
-        mapping = map_computation(families.nbody(15), networks.hypercube(3))
-        assert analyze(mapping, memoize=False) == analyze(mapping, memoize=True)
-
     def test_unknown_kernel_rejected(self):
         mapping = map_computation(families.ring(4), networks.ring(4))
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             analyze(mapping, kernel="bogus")
