@@ -10,8 +10,9 @@ Usage::
 Measured sections
 -----------------
 * ``sim_micro``   -- the repeated-phase microbenchmark (jacobi 8x8, the
-  compute/comm sweep repeated 100x) with the step cache on and off; the
-  ratio is the PR 1 memoization speedup.
+  compute/comm sweep repeated 100x) with the step cache on and off, both
+  on the batched kernel's private runner; the ratio is the PR 1
+  memoization speedup.
 * ``sim_kernel``  -- the batched numpy step kernel vs. the per-step event
   loop (memoization off; each engine driven through its private runner)
   on jacobi8x8 x100, a 64-cluster torus, and a 1k-task synthetic
@@ -28,8 +29,9 @@ Measured sections
   per-hop dict reference (simulation excluded via ``sim=``).
 
   The three references are the equivalence oracles in ``tests/oracles``.
-* ``portfolio``   -- ``map_many`` over 8 (graph, topology) pairs: 4-worker
-  process pool vs. sequential, with winner-determinism checked.
+* ``portfolio``   -- one ``run_portfolio`` per (graph, topology) pair, 8
+  pairs fanned out by ``run_supervised``: 4-worker process pool vs.
+  sequential, with winner-determinism checked.
 * ``cache``       -- cold vs. warm ``run_pipeline`` on jacobi8x8 against
   an explicit tempdir :class:`~repro.pipeline.ArtifactCache`: the memory-
   and disk-tier hit latencies vs. a full pipeline run (PR 4 headline).
@@ -88,7 +90,7 @@ from repro.graph import families
 from repro.graph.phase_expr import Rep
 from repro.graph.taskgraph import TaskGraph
 from repro.larcs import stdlib
-from repro.mapper import map_computation, map_many
+from repro.mapper import map_computation, run_portfolio
 from repro.mapper.contraction import mwm_contract
 from repro.mapper.embedding.nn_embed import assignment_from_clusters, nn_embed
 from repro.mapper.routing.mm_route import mm_route
@@ -101,6 +103,7 @@ from repro.pipeline import (
     run_pipeline,
 )
 from repro.pipeline.cache import reset_default_cache
+from repro.runtime import run_supervised
 from repro.sim import CostModel, simulate
 from repro.sim.engine import _simulate_events, _simulate_vector
 from repro.util import perf
@@ -175,9 +178,11 @@ def bench_sim_micro() -> dict:
     tg = stdlib.load("jacobi", rows=8, cols=8, msize=4)
     tg.phase_expr = Rep(tg.phase_expr, 100)
     mapping = map_computation(tg, networks.mesh(4, 4))
-    memoized = best_of(lambda: simulate(mapping, MODEL))
-    uncached = best_of(lambda: simulate(mapping, MODEL, memoize=False))
-    identical = simulate(mapping, MODEL) == simulate(mapping, MODEL, memoize=False)
+    memoized = best_of(lambda: _simulate_vector(mapping, MODEL))
+    uncached = best_of(lambda: _simulate_vector(mapping, MODEL, memoize=False))
+    identical = simulate(mapping, MODEL) == _simulate_vector(
+        mapping, MODEL, memoize=False
+    )
     return {
         "workload": "jacobi8x8_x100",
         "memoized_s": memoized,
@@ -335,22 +340,35 @@ def bench_metrics() -> dict:
     }
 
 
+def _portfolio_pair(pair):
+    """Per-pair worker (module-level, so the process executor can pickle it)."""
+    tg, topology = pair
+    return run_portfolio(tg, topology, model=MODEL)
+
+
+def _map_pairs(pairs, **fan_out) -> list:
+    return [
+        r.value
+        for r in run_supervised(_portfolio_pair, pairs, strict=True, **fan_out)
+    ]
+
+
 def bench_portfolio() -> dict:
-    """map_many over 8 pairs: 4-worker process pool vs. sequential.
+    """A portfolio per pair over 8 pairs: 4-worker process pool vs. sequential.
 
     The speedup scales with available cores (recorded in ``meta``); a
     warm-up pass fills every topology/graph cache first so both timed runs
     see identical state.
     """
     pairs = [(tg_fn(), topo_fn()) for _, tg_fn, topo_fn in PORTFOLIO_PAIRS]
-    map_many(pairs, model=MODEL, executor="serial")  # warm all caches
+    _map_pairs(pairs)  # warm all caches
 
     start = time.perf_counter()
-    serial = map_many(pairs, model=MODEL, executor="serial")
+    serial = _map_pairs(pairs)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = map_many(pairs, model=MODEL, executor="process", max_workers=4)
+    parallel = _map_pairs(pairs, executor="process", max_workers=4)
     parallel_s = time.perf_counter() - start
 
     deterministic = [r.winner for r in serial] == [

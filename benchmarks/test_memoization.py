@@ -44,7 +44,7 @@ def best_of(fn, repeats=5):
 def test_repeated_phase_speedup(benchmark):
     mapping = repeated_jacobi(100)
     memoized = benchmark(lambda: simulate(mapping, MODEL))
-    plain = simulate(mapping, MODEL, memoize=False)
+    plain = _simulate_events(mapping, MODEL, memoize=False)
     assert memoized == plain  # every SimulationResult field identical
 
     t_memo = best_of(lambda: _simulate_events(mapping, MODEL))

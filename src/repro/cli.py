@@ -37,6 +37,7 @@ from repro.metrics.display import (
     render_timeline,
 )
 from repro.pipeline import MapConfig, RunConfig, run_pipeline, strategy_names
+from repro.runtime import EXECUTORS, RESUME_MODES
 from repro.sim import CostModel, simulate
 
 __all__ = ["main", "parse_topology", "parse_bindings"]
@@ -255,12 +256,6 @@ def _retry_policy(args):
     return RetryPolicy(max_attempts=args.retries + 1)
 
 
-def _pipeline_task(payload):
-    """Top-level supervised single-run worker (picklable)."""
-    tg, topology, config = payload
-    return run_pipeline(tg, topology, config)
-
-
 def _cmd_run(args) -> int:
     """Run the staged pipeline from a config file; emit the result as JSON.
 
@@ -306,16 +301,16 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, cache=False)
     if args.deadline is not None or args.retries is not None:
         # A killable worker process: a hung stage cannot wedge the CLI.
-        from repro.runtime import plan_from_env, run_supervised
+        from repro.pipeline.engine import pipeline_task
+        from repro.runtime import run_supervised
 
         supervised = run_supervised(
-            _pipeline_task,
-            [(tg, topology, config)],
+            pipeline_task,
+            [(tg, topology, config, None)],
             executor="process",
             keys=[f"{tg.name}->{topology.name}"],
             deadline=args.deadline,
             retry=_retry_policy(args),
-            chaos=plan_from_env(),
         )[0]
         if not supervised.ok:
             raise supervised.error
@@ -652,7 +647,7 @@ def _add_supervision_flags(sub: argparse.ArgumentParser, *, resume_default: str)
                      help="re-run a crashed/failed task up to N extra times "
                           "with deterministic backoff (default: 0)")
     sub.add_argument("--resume", default=resume_default,
-                     choices=["auto", "off"],
+                     choices=RESUME_MODES,
                      help="'auto' checkpoints finished tasks so a killed run "
                           f"resumes bit-identically (default: {resume_default})")
 
@@ -725,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="race the full strategy portfolio and report the "
                             "winner among survivors (JSON)")
     p_run.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process"],
+                       choices=EXECUTORS,
                        help="portfolio fan-out executor")
     p_run.add_argument("--workers", type=int, default=None,
                        help="portfolio worker count (winner identical at any)")
@@ -766,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["processors", "links", "both"],
                        help="rank every single fault instead of repairing one set")
     p_res.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process"],
+                       choices=EXECUTORS,
                        help="sweep fan-out executor")
     p_res.add_argument("--workers", type=int, default=None,
                        help="sweep worker count (results are identical at any)")
@@ -826,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_online.add_argument("--checkpoint-every", type=int, default=1,
                           help="journal the session state every N events")
     p_online.add_argument("--executor", default="serial",
-                          choices=["serial", "thread", "process"],
+                          choices=EXECUTORS,
                           help="background remap portfolio executor")
     p_online.add_argument("--workers", type=int, default=None,
                           help="portfolio worker count (trace identical "
@@ -853,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "arriving within it share one supervised "
                               "fan-out (0 disables the wait)")
     p_serve.add_argument("--executor", default="thread",
-                         choices=["serial", "thread", "process"],
+                         choices=EXECUTORS,
                          help="batch executor ('process' gives kill-hard "
                               "worker isolation at fork cost)")
     p_serve.add_argument("--deadline", type=float, default=None,

@@ -86,8 +86,6 @@ __all__ = [
     "mapping_fingerprint",
 ]
 
-_RESUME_MODES = ("auto", "off")
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -328,13 +326,13 @@ class MappingSession:
         cache=None,
     ):
         from repro.pipeline.config import SimConfig
-        from repro.runtime import plan_from_env
 
         self.config = config or SessionConfig()
         self.model = model or CostModel()
         self.base = topology
         self._cache = cache
-        self._chaos = plan_from_env()
+        # Passed to every remap portfolio; None reads REPRO_CHAOS there.
+        self._chaos = None
 
         tg.validate()
         self._name = tg.name
@@ -801,14 +799,13 @@ class MappingSession:
         receives each :class:`EventRecord` as it is produced, including
         restored ones on resume.
         """
-        if resume not in _RESUME_MODES:
-            raise ValueError(
-                f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
-            )
+        from repro.runtime import resume_journal
+
+        journal = resume_journal(resume, lambda: self.session_key, self._cache)
         events = list(events)
         start = 0
         if resume == "auto":
-            start = self._try_restore(events)
+            start = self._try_restore(events, journal)
             if on_event is not None:
                 for record in self.trace:
                     on_event(record)
@@ -893,9 +890,8 @@ class MappingSession:
         self.counters = dict(state["counters"])
         self._rebind(state["assignment"], state["routes"], state["provenance"])
 
-    def _try_restore(self, events) -> int:
+    def _try_restore(self, events, journal) -> int:
         """Restore the deepest checkpoint matching a prefix of *events*."""
-        journal = self._journal()
         if journal is None:
             return 0
         chains = []

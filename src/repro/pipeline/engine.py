@@ -31,7 +31,7 @@ from repro.pipeline.stages import PipelineContext, get_stage
 from repro.util import perf
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["PipelineResult", "run_pipeline", "run_pipeline_batch", "pipeline_key"]
+__all__ = ["PipelineResult", "run_pipeline", "pipeline_task", "pipeline_key"]
 
 #: The ``repro run`` JSON output format tag.
 RESULT_FORMAT = "oregami-pipeline-result-v1"
@@ -240,79 +240,12 @@ def run_pipeline(
     return result
 
 
-def _batch_task(payload) -> PipelineResult:
-    """Top-level batch worker (picklable for process executors)."""
-    tg, topology, config = payload
-    return run_pipeline(tg, topology, config)
+def pipeline_task(payload) -> PipelineResult:
+    """The supervised pipeline worker: one ``(tg, topology, config, faults)``.
 
-
-def run_pipeline_batch(
-    instances,
-    config: RunConfig | None = None,
-    *,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    deadline: float | None = None,
-    retry=None,
-    chaos=None,
-    resume: str = "off",
-    cache: ArtifactCache | None = None,
-):
-    """Run one config over many (task graph, topology) instances, supervised.
-
-    The batch counterpart of :func:`run_pipeline` for services that map
-    whole queues of instances: each instance runs through the engine in
-    its own supervised worker (``"serial"``/``"thread"``/``"process"``)
-    with optional per-instance ``deadline`` and ``retry`` policy, and the
-    returned list holds one :class:`repro.runtime.TaskResult` per
-    instance **in input order** -- a hung or crashed instance becomes a
-    failed result carrying its typed error while the rest of the batch
-    completes.  With ``resume="auto"`` finished instances checkpoint into
-    the artifact cache's disk tier keyed by the batch's content
-    fingerprint, so a killed batch re-invoked with the same instances and
-    config resumes instead of restarting.  ``chaos`` injects a
-    :class:`repro.runtime.ChaosPlan` (defaults to the ``REPRO_CHAOS``
-    environment knob).
-
-    Note the two cache layers compose: each *successful* instance also
-    lands in the ordinary content-addressed result cache, while the
-    journal additionally pins *this batch's* outcomes (including
-    failures) for bit-identical resume.
+    Module-level, so it pickles for the process executor.  A batch of
+    runs is ``run_supervised(pipeline_task, payloads)``; the server's
+    micro-batcher and ``repro run --deadline`` fan out through it.
     """
-    from repro.runtime import journal_for, plan_from_env, run_supervised
-
-    if resume not in ("auto", "off"):
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from ('auto', 'off')"
-        )
-    config = config if config is not None else RunConfig()
-    if chaos is None:
-        chaos = plan_from_env()
-    instances = list(instances)
-    payloads = [(tg, topology, config) for tg, topology in instances]
-
-    journal = None
-    if resume == "auto" and payloads:
-        run_key = stable_digest({
-            "kind": "pipeline-batch-run",
-            "schema": CACHE_SCHEMA,
-            "instances": [
-                [tg.fingerprint(), topology.fingerprint()]
-                for tg, topology in instances
-            ],
-            "config": config.fingerprint(),
-        })
-        journal = journal_for(run_key, cache)
-
-    with perf.span("pipeline.run_batch"):
-        return run_supervised(
-            _batch_task,
-            payloads,
-            executor=executor,
-            max_workers=max_workers,
-            keys=[f"instance:{i}" for i in range(len(payloads))],
-            deadline=deadline,
-            retry=retry,
-            chaos=chaos,
-            journal=journal,
-        )
+    tg, topology, config, faults = payload
+    return run_pipeline(tg, topology, config, faults=faults)

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from repro.arch.topology import DisconnectedTopologyError, Topology
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper.mapping import Mapping
-from repro.runtime import EXECUTORS
 from repro.sim.engine import simulate
 from repro.sim.model import CostModel
 from repro.util import perf
@@ -53,7 +52,6 @@ from repro.resilience.repair import repair_mapping
 __all__ = ["FaultImpact", "SweepResult", "failure_sweep"]
 
 _ELEMENTS = ("processors", "links", "both")
-_RESUME_MODES = ("auto", "off")
 
 #: Ranking order of the status classes (lower sorts first).
 _STATUS_RANK = {"disconnects": 0, "failed": 1, "ok": 2}
@@ -255,23 +253,14 @@ def failure_sweep(
     never abort the sweep -- they are explicit ``failed`` rows.
     """
     from repro import io
-    from repro.runtime import journal_for, plan_from_env, run_supervised
+    from repro.pipeline.config import SimConfig
+    from repro.runtime import resume_journal, run_supervised
 
     if elements not in _ELEMENTS:
         raise ValueError(
             f"unknown elements {elements!r}; choose from {_ELEMENTS}"
         )
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}"
-        )
-    if resume not in _RESUME_MODES:
-        raise ValueError(
-            f"unknown resume mode {resume!r}; choose from {_RESUME_MODES}"
-        )
     model = model or CostModel()
-    if chaos is None:
-        chaos = plan_from_env()
     with perf.span("resilience.failure_sweep"):
         if mapping is None:
             # A cached pipeline run: repeated sweeps of the same instance
@@ -305,20 +294,15 @@ def failure_sweep(
             for kind, element in targets
         ]
 
-        journal = None
-        if resume == "auto":
-            from repro.pipeline.config import SimConfig
-
-            run_key = stable_digest({
-                "kind": "failure-sweep-run",
-                "task_graph": tg.fingerprint(),
-                "topology": topology.fingerprint(),
-                "mapping": io.mapping_to_dict(mapping),
-                "elements": elements,
-                "model": SimConfig.from_model(model).to_dict(),
-                "state_volume": state_volume,
-            })
-            journal = journal_for(run_key, cache)
+        journal = resume_journal(resume, lambda: stable_digest({
+            "kind": "failure-sweep-run",
+            "task_graph": tg.fingerprint(),
+            "topology": topology.fingerprint(),
+            "mapping": io.mapping_to_dict(mapping),
+            "elements": elements,
+            "model": SimConfig.from_model(model).to_dict(),
+            "state_volume": state_volume,
+        }), cache)
 
         results = run_supervised(
             _impact_task,

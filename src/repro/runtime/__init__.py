@@ -1,9 +1,10 @@
 """The supervised execution runtime (deadlines, retries, checkpoints, chaos).
 
 PR 3 made the *modeled* machine fault-tolerant; this package makes the
-toolchain itself fault-tolerant.  Every fan-out entry point -- the
-mapping portfolio, the failure sweep, and batched pipeline runs --
-executes through :func:`run_supervised`, which adds, in exactly one place:
+toolchain itself fault-tolerant.  Every fan-out in the toolchain -- the
+mapping portfolio, the failure sweep, the server's micro-batches and
+``repro run --deadline`` -- executes through :func:`run_supervised`,
+which adds, in exactly one place:
 
 * per-task wall-clock **deadlines** (hung process workers are killed and
   replaced, never awaited forever),
@@ -13,7 +14,13 @@ executes through :func:`run_supervised`, which adds, in exactly one place:
 * crash-safe **checkpointing** (:class:`Journal`) through the artifact
   cache's disk tier, so killed runs resume bit-identical,
 * a deterministic **chaos harness** (:class:`ChaosPlan`, or the
-  ``REPRO_CHAOS`` environment knob) for tests and robustness drills.
+  ``REPRO_CHAOS`` environment knob, read by the core itself) for tests
+  and robustness drills.
+
+A batch of pipeline runs is ``run_supervised(pipeline_task, payloads)``
+over ``(tg, topology, config, faults)`` payloads, with
+:func:`repro.pipeline.engine.pipeline_task` as the worker;
+:func:`resume_journal` turns a ``resume=`` mode into its journal.
 
 See ``docs/robustness.md`` for the supervision model end to end.
 """
@@ -35,7 +42,13 @@ from repro.runtime.chaos import (
     TransientChaosError,
     plan_from_env,
 )
-from repro.runtime.journal import JOURNAL_SCHEMA, Journal, journal_for
+from repro.runtime.journal import (
+    JOURNAL_SCHEMA,
+    RESUME_MODES,
+    Journal,
+    journal_for,
+    resume_journal,
+)
 from repro.runtime.supervisor import (
     EXECUTORS,
     RetryPolicy,
@@ -52,6 +65,8 @@ __all__ = [
     "TaskResult",
     "Journal",
     "journal_for",
+    "resume_journal",
+    "RESUME_MODES",
     "JOURNAL_SCHEMA",
     "ChaosPlan",
     "plan_from_env",

@@ -31,9 +31,10 @@ Actions
     tests and nothing else.
 
 The environment knob ``REPRO_CHAOS`` (JSON, same shape as
-:meth:`ChaosPlan.to_dict`) injects a plan into any supervised entry point
-that was not handed one explicitly -- the hook the CLI chaos tests and
-drills use.  Unset means no chaos anywhere.
+:meth:`ChaosPlan.to_dict`) injects a plan into any
+:func:`~repro.runtime.run_supervised` call that was not handed one
+explicitly -- the hook the CLI chaos tests and drills use.  Unset means
+no chaos anywhere.
 """
 
 from __future__ import annotations

@@ -34,13 +34,19 @@ entry -- or run with ``resume="off"`` -- to retry deliberately).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.runtime.supervisor import TaskResult
 from repro.util.fingerprint import stable_digest
 
-__all__ = ["Journal", "JOURNAL_SCHEMA", "journal_for"]
+__all__ = ["Journal", "JOURNAL_SCHEMA", "RESUME_MODES", "journal_for",
+           "resume_journal"]
 
 #: Bump when the journalled TaskResult layout changes incompatibly.
 JOURNAL_SCHEMA = 1
+
+#: The ``resume=`` values every checkpointing entry point accepts.
+RESUME_MODES = ("auto", "off")
 
 
 class Journal:
@@ -94,3 +100,18 @@ def journal_for(run_key: str, cache=None) -> Journal | None:
 
         cache = default_cache()
     return Journal(cache, run_key) if cache is not None else None
+
+
+def resume_journal(resume: str, run_key: Callable[[], str],
+                   cache=None) -> Journal | None:
+    """Validate a ``resume=`` mode; the run's journal for ``"auto"``.
+
+    *run_key* is called only for ``"auto"``, so entry points running
+    with resume off never pay for the fingerprints a run key digests.
+    ``"off"`` -- and ``"auto"`` with caching disabled -- give ``None``.
+    """
+    if resume not in RESUME_MODES:
+        raise ValueError(
+            f"unknown resume mode {resume!r}; choose from {RESUME_MODES}"
+        )
+    return journal_for(run_key(), cache) if resume == "auto" else None

@@ -1,8 +1,9 @@
 """``run_supervised`` -- the supervised task-execution core.
 
-Every fan-out entry point in the toolchain (the mapping portfolio, the
-failure sweep, batched pipeline runs) executes through this one
-function, so supervision semantics live in exactly one place:
+Every fan-out in the toolchain (the mapping portfolio, the failure
+sweep, the server's micro-batches, ``repro run --deadline``) executes
+through this one function, so supervision semantics live in exactly one
+place:
 
 * **Deadlines** -- each attempt gets a wall-clock budget.  A process
   worker that blows it is **killed** and the attempt recorded as a
@@ -24,9 +25,9 @@ function, so supervision semantics live in exactly one place:
   every finished result is recorded as it completes and already-recorded
   tasks are served from the journal instead of re-running, so a killed
   run resumes bit-identical to an uninterrupted one.
-* **Chaos** -- a :class:`~repro.runtime.chaos.ChaosPlan` (explicit or via
-  ``REPRO_CHAOS`` in the entry points) deterministically injects crashes,
-  hangs, and transient failures for tests and drills.
+* **Chaos** -- a :class:`~repro.runtime.chaos.ChaosPlan` (explicit, or
+  read from ``REPRO_CHAOS`` here when none is passed) deterministically
+  injects crashes, hangs, and transient failures for tests and drills.
 
 Executors: ``"serial"`` runs attempts inline; ``"thread"`` runs each
 attempt in a fresh daemon thread (abandonable); ``"process"`` runs each
@@ -59,6 +60,7 @@ from repro.runtime.chaos import (
     KILL_EXIT_CODE,
     ChaosPlan,
     SimulatedWorkerCrash,
+    plan_from_env,
 )
 
 __all__ = [
@@ -430,9 +432,10 @@ def run_supervised(
     retry:
         The :class:`RetryPolicy` (default: single attempt, no retries).
     chaos:
-        An explicit :class:`~repro.runtime.chaos.ChaosPlan`.  This core
-        never reads ``REPRO_CHAOS`` itself -- the public entry points
-        resolve the environment knob and pass a plan down.
+        An explicit :class:`~repro.runtime.chaos.ChaosPlan`; ``None``
+        (default) reads the ``REPRO_CHAOS`` environment knob, so every
+        entry point honours it without resolving it itself.  A malformed
+        value raises ``ValueError`` before any task runs.
     journal:
         A :class:`~repro.runtime.journal.Journal`; finished results are
         recorded as they complete, and payloads whose key is already
@@ -469,6 +472,8 @@ def run_supervised(
     retry = retry if retry is not None else RetryPolicy()
     if deadline is not None and deadline <= 0:
         raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
+    if chaos is None:
+        chaos = plan_from_env()
 
     specs = [
         TaskSpec(i, payload, key, deadline, retry)

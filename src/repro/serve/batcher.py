@@ -6,9 +6,9 @@ Dispatching each request to the supervised runtime individually would pay
 the fan-out setup per request; the :class:`MicroBatcher` instead collects
 everything that arrives inside a short **batching window** (default a few
 milliseconds) and executes the whole set as a single
-:func:`repro.runtime.run_supervised` fan-out over
-:func:`repro.pipeline.run_pipeline` workers -- the exact engine the CLI
-and the batch entry points use, so deadlines, retries, chaos injection,
+:func:`repro.runtime.run_supervised` fan-out over the
+:func:`repro.pipeline.engine.pipeline_task` worker -- the same worker
+``repro run --deadline`` uses, so deadlines, retries, chaos injection,
 and the typed error taxonomy apply to every request identically.
 
 The batching thread is persistent (one per server); workers are
@@ -27,16 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.pipeline.engine import run_pipeline
+from repro.pipeline.engine import pipeline_task
 from repro.util import perf
 
 __all__ = ["MicroBatcher", "PendingRequest"]
-
-
-def _serve_task(payload) -> Any:
-    """Top-level supervised worker (picklable for the process executor)."""
-    tg, topology, config, faults = payload
-    return run_pipeline(tg, topology, config, faults=faults)
 
 
 @dataclass
@@ -77,7 +71,7 @@ class MicroBatcher:
         queued when the loop wakes still shares one batch).
     executor, max_workers, retry, chaos:
         Passed through to :func:`repro.runtime.run_supervised` for every
-        batch.  ``executor="thread"`` is the serving default -- workers
+        batch (``chaos=None`` there reads ``REPRO_CHAOS``).  ``executor="thread"`` is the serving default -- workers
         share the process (and its caches) and a timed-out worker is
         abandoned; ``"process"`` gives kill-hard isolation at fork cost.
     default_deadline:
@@ -170,7 +164,7 @@ class MicroBatcher:
             try:
                 with perf.span("serve.batch_run"):
                     results = run_supervised(
-                        _serve_task,
+                        pipeline_task,
                         [p.payload for p in group],
                         executor=self.executor,
                         max_workers=self.max_workers,

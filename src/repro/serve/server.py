@@ -357,8 +357,6 @@ def serve(
     an ephemeral port -- the ready line printed to stdout names the real
     one, which is how the load generator and the tests find it.
     """
-    from repro.runtime import plan_from_env
-
     if cache is None and use_default_cache:
         cache = default_cache()
     batcher = MicroBatcher(
@@ -366,7 +364,6 @@ def serve(
         executor=executor,
         max_workers=workers,
         retry=retry,
-        chaos=plan_from_env(),
         default_deadline=deadline,
     )
     server = MappingServer((host, port), cache=cache, batcher=batcher,

@@ -330,7 +330,6 @@ def simulate(
     model: CostModel | None = None,
     *,
     max_steps: int = 100_000,
-    memoize: bool = True,
     link_slowdowns: dict[int, float] | None = None,
 ) -> SimulationResult:
     """Run the mapped computation through its phase expression.
@@ -339,10 +338,10 @@ def simulate(
     and a phase expression on the task graph; a task graph without a phase
     expression is treated as one step running every phase in parallel.
 
-    With *memoize* (the default) repeated steps -- the same phase set
-    occurring again, as every ``r^k`` repetition does -- reuse the cached
-    step outcome instead of re-running the event loop.  Memoization is
-    semantics-preserving: disabling it changes wall-clock time only, never
+    Repeated steps -- the same phase set occurring again, as every
+    ``r^k`` repetition does -- reuse the cached step outcome instead of
+    re-running the event loop.  Memoization is semantics-preserving: the
+    private runners' ``memoize=False`` changes wall-clock time only, never
     any field of the result.
 
     *link_slowdowns* is the failure-injection point: a 1-based link id ->
@@ -361,12 +360,11 @@ def simulate(
     """
     with perf.span("sim.simulate"):
         compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
-        plan = vector.plan_batch(compiled, steps, memoize)
-        if plan.effective_hops >= _AUTO_MIN_HOPS or (
-            memoize and len(steps) >= _AUTO_MIN_STEPS
-        ):
+        plan = vector.plan_batch(compiled, steps, True)
+        if (plan.effective_hops >= _AUTO_MIN_HOPS
+                or len(steps) >= _AUTO_MIN_STEPS):
             return _run_vector(plan)
-        return _run_events(compiled, steps, memoize)
+        return _run_events(compiled, steps, True)
 
 
 def _simulate_events(
@@ -377,7 +375,11 @@ def _simulate_events(
     memoize: bool = True,
     link_slowdowns: dict[int, float] | None = None,
 ) -> SimulationResult:
-    """:func:`simulate` pinned to the per-step event loop."""
+    """:func:`simulate` pinned to the per-step event loop.
+
+    ``memoize=False`` re-runs every step instead of reusing cached step
+    outcomes -- the reference the memoization tests compare against.
+    """
     compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
     return _run_events(compiled, steps, memoize)
 
@@ -390,7 +392,8 @@ def _simulate_vector(
     memoize: bool = True,
     link_slowdowns: dict[int, float] | None = None,
 ) -> SimulationResult:
-    """:func:`simulate` pinned to the batched numpy kernel."""
+    """:func:`simulate` pinned to the batched numpy kernel (``memoize``
+    as in :func:`_simulate_events`)."""
     compiled, steps = _prepare(mapping, model, max_steps, link_slowdowns)
     return _run_vector(vector.plan_batch(compiled, steps, memoize))
 

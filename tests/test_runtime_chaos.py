@@ -25,9 +25,16 @@ from repro.graph import families
 from repro.graph.taskgraph import TaskGraph
 from repro.mapper import run_portfolio
 from repro.mapper.portfolio import DEFAULT_STRATEGIES
-from repro.pipeline import ArtifactCache, run_pipeline_batch
+from repro.pipeline import ArtifactCache, RunConfig
+from repro.pipeline.engine import pipeline_task
 from repro.resilience import failure_sweep
-from repro.runtime import ChaosPlan, KILL_EXIT_CODE, RetryPolicy
+from repro.runtime import (
+    ChaosPlan,
+    Journal,
+    KILL_EXIT_CODE,
+    RetryPolicy,
+    run_supervised,
+)
 
 #: Near-zero backoff so multi-attempt tests stay fast.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff=0.001)
@@ -152,6 +159,8 @@ class TestSweepUnderChaos:
 
 
 class TestPipelineBatch:
+    """A batch of pipeline runs: ``run_supervised`` over ``pipeline_task``."""
+
     def _instances(self):
         return [
             (families.ring(8), networks.ring(8)),
@@ -159,23 +168,32 @@ class TestPipelineBatch:
             (families.torus(4, 4), networks.mesh(4, 4)),
         ]
 
+    def _batch(self, instances, **kw):
+        config = RunConfig()
+        return run_supervised(
+            pipeline_task,
+            [(tg, topo, config, None) for tg, topo in instances],
+            keys=[f"instance:{i}" for i in range(len(instances))],
+            **kw,
+        )
+
     def test_failures_do_not_abort_the_batch(self):
         bad = TaskGraph("broken")
         bad.add_nodes(range(4))
         bad.add_comm_phase("p").add(0, 99, 1.0)  # undeclared task: rejected
         instances = self._instances() + [(bad, networks.ring(4))]
-        results = run_pipeline_batch(instances)
+        results = self._batch(instances)
         assert [r.ok for r in results] == [True, True, True, False]
         assert all(r.value.mapping is not None for r in results[:3])
         assert isinstance(results[3].error, ValueError)
 
     def test_resume_serves_the_journal(self):
         cache = ArtifactCache()
-        first = run_pipeline_batch(
-            self._instances(), resume="auto", cache=cache
+        first = self._batch(
+            self._instances(), journal=Journal(cache, "batch-run")
         )
-        resumed = run_pipeline_batch(
-            self._instances(), resume="auto", cache=cache
+        resumed = self._batch(
+            self._instances(), journal=Journal(cache, "batch-run")
         )
         assert all(r.journal_hit for r in resumed)
         assert not any(r.journal_hit for r in first)
@@ -184,7 +202,7 @@ class TestPipelineBatch:
         ]
 
     def test_chaos_crash_marks_only_that_instance(self):
-        results = run_pipeline_batch(
+        results = self._batch(
             self._instances(), chaos=ChaosPlan(crashes=[(1, 1)])
         )
         assert [r.ok for r in results] == [True, False, True]

@@ -19,6 +19,7 @@ from repro.runtime import (
     SimulatedWorkerCrash,
     TransientChaosError,
     plan_from_env,
+    resume_journal,
     run_supervised,
 )
 
@@ -319,6 +320,21 @@ class TestJournal:
         assert r.journal_hit and not r.ok
         assert isinstance(r.error, ValueError)
 
+    def test_resume_journal_off_never_builds_the_run_key(self):
+        def run_key():
+            raise AssertionError("run key built with resume off")
+
+        assert resume_journal("off", run_key) is None
+
+    def test_resume_journal_auto(self):
+        cache = ArtifactCache()
+        journal = resume_journal("auto", lambda: "run-key", cache)
+        assert journal.run_key == "run-key" and journal.cache is cache
+
+    def test_resume_journal_rejects_unknown_modes(self):
+        with pytest.raises(ValueError, match="unknown resume mode 'always'"):
+            resume_journal("always", lambda: "run-key")
+
     def test_different_run_keys_do_not_share_entries(self):
         cache = ArtifactCache()
         run_supervised(_double, [1], journal=Journal(cache, "run-a"))
@@ -360,3 +376,23 @@ class TestChaosPlan:
         monkeypatch.setenv("REPRO_CHAOS", "{not json")
         with pytest.raises(ValueError, match="not valid JSON"):
             plan_from_env()
+
+    def test_run_supervised_reads_the_env_when_no_plan_is_given(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CHAOS", '{"crash": [[1, 1]]}')
+        results = run_supervised(_double, [1, 2, 3])
+        assert [r.ok for r in results] == [True, False, True]
+        assert isinstance(results[1].error, WorkerCrash)
+        # An explicit plan wins over the environment.
+        results = run_supervised(_double, [1, 2, 3], chaos=ChaosPlan())
+        assert all(r.ok for r in results)
+
+    def test_run_supervised_rejects_a_malformed_env_before_running(
+        self, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setenv("REPRO_CHAOS", "{not json")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            run_supervised(ran.append, [1])
+        assert ran == []

@@ -291,16 +291,21 @@ class TestKernelSelection:
         tg = families.ring(16)
         tg.phase_expr = Rep(tg.phase_expr, 300)
         m = map_computation(tg, networks.mesh(2, 4))
-        assert simulate(m, memoize=False).kernel == "vector"
-        # Memoized runs dedupe the hop count but still cross the
-        # step-count threshold.
-        assert simulate(m, memoize=True).kernel == "vector"
+        # Memoization dedupes the hop count, but the run still crosses
+        # the step-count threshold.
+        assert simulate(m).kernel == "vector"
 
     def test_invalid_kernel_rejected(self):
         # The selector is retired: simulate() picks the engine itself.
         m = map_computation(families.ring(4), networks.ring(4))
         with pytest.raises(TypeError, match="kernel"):
             simulate(m, kernel="numpy")
+
+    def test_memoize_flag_retired(self):
+        # simulate() always memoizes; only the private runners take it.
+        m = map_computation(families.ring(4), networks.ring(4))
+        with pytest.raises(TypeError, match="memoize"):
+            simulate(m, memoize=False)
 
     def test_perf_counters_record_path(self):
         m = map_computation(families.ring(4), networks.ring(4))
